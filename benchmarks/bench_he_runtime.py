@@ -1,17 +1,17 @@
 """HE-runtime benchmark: the execution-side perf trajectory tracker.
 
-Measures, against the retained big-integer reference path
-(``slow_reference=True``, the seed implementation):
+Measures, against the big-integer reference path (the seed
+implementation, kept as the test oracle ``tests/reference_bfv.py``):
 
 * per-opcode microbenchmark latencies (µs) of the RNS-native BFV runtime,
   single-ciphertext and batched (amortized per ciphertext),
-* per-kernel NTT row counts with the tape-level domain planner on and
-  off (deterministic: the plan is an exact simulation of the executor),
+* per-kernel planned NTT row counts (deterministic: the tape-level
+  domain plan is an exact simulation of the executor),
 * end-to-end ``HEExecutor.run`` wall times on the seed kernels' baseline
   programs,
-* ``run_many`` batch throughput — legacy single runs versus the tuned
-  batched path (domain planner + scratch arenas + ``--exec-workers``),
-  with both configurations recorded in the report, and
+* ``run_many`` batch throughput — single runs versus the batched path
+  (scratch arenas + ``--exec-workers``), with both configurations
+  recorded in the report, and
 * multicore lockstep scaling of the sharded ``run_many`` batch axis.
 
 Everything is recorded into ``BENCH_runtime.json`` (schema 2) at the
@@ -47,6 +47,7 @@ FLOOR_FILE = Path(__file__).resolve().parent / "runtime_floor.json"
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_runtime.json"
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the oracle lives under tests/
 
 from harness import (  # noqa: E402
     ceiling_failure,
@@ -59,6 +60,10 @@ from repro.he import BFVContext  # noqa: E402
 from repro.he.params import small_params, toy_params  # noqa: E402
 from repro.runtime.executor import HEExecutor  # noqa: E402
 from repro.spec import get_spec  # noqa: E402
+from tests.reference_bfv import (  # noqa: E402
+    ReferenceBFVContext,
+    reference_executor,
+)
 
 E2E_KERNELS = ("box_blur", "gx")
 BATCH_SIZE = 4  # opcode microbenchmark batch width
@@ -77,12 +82,12 @@ def _best(fn, repeats: int) -> float:
 def bench_opcodes(params, repeats: int, batch: int) -> dict:
     """Per-opcode µs: reference vs RNS (single and batched-amortized).
 
-    The reference path runs on its own ``slow_reference`` context with
-    freshly encrypted operands, so no fast-path NTT caches leak into the
+    The reference path runs on its own oracle context with freshly
+    encrypted operands, so no fast-path NTT caches leak into the
     baseline measurement.
     """
     ctx = BFVContext(params, seed=1)
-    ref_ctx = BFVContext(params, seed=1, slow_reference=True)
+    ref_ctx = ReferenceBFVContext(params, seed=1)
     rng = np.random.default_rng(1)
     n = min(40, params.row_size)
     va = rng.integers(-20, 21, n)
@@ -168,7 +173,7 @@ def _kernel_envs(spec, batch: int, seed: int = 2) -> list[dict]:
 
 
 def bench_ntt_counts(params) -> dict:
-    """Per-kernel NTT row counts, domain planner on vs off.
+    """Per-kernel planned NTT row counts.
 
     Counts are deterministic (the plan simulates the executor's domain
     state machine exactly), and each planned count is re-measured
@@ -179,24 +184,13 @@ def bench_ntt_counts(params) -> dict:
     for kernel in sorted(BASELINE_BUILDERS):
         spec = get_spec(kernel)
         program = baseline_for(kernel)
-        planned = HEExecutor(spec, params=params, seed=7, domain_plan=True)
-        plan = planned.compile(program).plan
-        env = _kernel_envs(spec, 1)[0]
-        planned.run(program, env)
-        lazy = HEExecutor(spec, params=params, seed=7)
-        lazy.run(program, env)
+        executor = HEExecutor(spec, params=params, seed=7)
+        plan = executor.compile(program).plan
+        executor.run(program, _kernel_envs(spec, 1)[0])
         out[kernel] = {
-            "ntt_rows_lazy": plan.ntts_lazy,
             "ntt_rows_planned": plan.ntts_planned,
-            "ntt_rows_elided": plan.ntts_elided,
-            "reduction_pct": (
-                round(100.0 * plan.ntts_elided / plan.ntts_lazy, 1)
-                if plan.ntts_lazy
-                else 0.0
-            ),
             "measured_matches_plan": bool(
-                planned.stats.ntts_performed == plan.ntts_planned
-                and lazy.stats.ntts_performed == plan.ntts_lazy
+                executor.stats.ntts_performed == plan.ntts_planned
             ),
         }
     return out
@@ -215,7 +209,7 @@ def bench_multicore(
     spec = get_spec(kernel)
     program = baseline_for(kernel)
     envs = _kernel_envs(spec, batch)
-    executor = HEExecutor(spec, params=params, seed=7, domain_plan=True)
+    executor = HEExecutor(spec, params=params, seed=7)
     executor.compile(program)
     rows: dict[str, dict] = {}
     baseline_outputs = None
@@ -252,28 +246,22 @@ def bench_end_to_end(
     repeats: int,
     batch: int,
     exec_workers: int,
-    domain_plan: bool,
 ) -> dict:
     """End-to-end executor runs: reference vs RNS vs batched run_many.
 
-    The single-run side uses the legacy default flags (no planner, one
-    worker); the batched side is the tuned serving configuration
-    (planner + arenas + ``exec_workers``).  Both configurations are
+    The single-run side uses one worker; the batched side is the serving
+    configuration (arenas + ``exec_workers``).  Both configurations are
     recorded in the row, so ``batch_vs_single_speedup`` is transparently
-    "tuned batched path vs legacy sequential singles".
+    "batched path vs sequential singles".
     """
     spec = get_spec(kernel)
     program = baseline_for(kernel)
     envs = _kernel_envs(spec, batch)
 
     fast = HEExecutor(spec, params=params, seed=7)
-    slow = HEExecutor(spec, params=params, seed=7, slow_reference=True)
+    slow = reference_executor(spec, params=params, seed=7)
     tuned = HEExecutor(
-        spec,
-        params=params,
-        seed=7,
-        domain_plan=domain_plan,
-        exec_workers=exec_workers,
+        spec, params=params, seed=7, exec_workers=exec_workers
     )
     # compile outside timing on all sides (keys/tape are one-time setup)
     fast.compile(program)
@@ -307,11 +295,8 @@ def bench_end_to_end(
         "rns_seconds": round(rns_s, 4),
         "speedup": round(ref_s / rns_s, 2) if rns_s else None,
         "batch_size": batch,
-        "single_config": {"domain_plan": False, "exec_workers": 1},
-        "batch_config": {
-            "domain_plan": domain_plan,
-            "exec_workers": exec_workers,
-        },
+        "single_config": {"exec_workers": 1},
+        "batch_config": {"exec_workers": exec_workers},
         "batch_total_seconds": round(batch_seconds, 4),
         "batch_seconds_per_run": round(batch_seconds / batch, 4),
         "batch_vs_single_speedup": (
@@ -393,9 +378,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--exec-workers", type=int, default=4, metavar="W",
                         help="worker count for the tuned batched "
                              "configuration (default 4)")
-    parser.add_argument("--no-domain-plan", action="store_true",
-                        help="ablation: run the tuned batched side without "
-                             "the NTT-domain planner")
     args = parser.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
@@ -406,7 +388,6 @@ def main(argv: list[str] | None = None) -> int:
     # exposes; opcode latencies above track the secure preset in full
     # mode.  Each e2e row records the params it ran on.
     e2e_params = toy_params()
-    domain_plan = not args.no_domain_plan
 
     print(f"opcode microbenchmarks on {params.name} ...", flush=True)
     opcodes = bench_opcodes(params, repeats, BATCH_SIZE)
@@ -433,14 +414,11 @@ def main(argv: list[str] | None = None) -> int:
                 f" (amortization {row['batch_amortization']}x)"
             )
 
-    print("NTT domain planning on toy-insecure ...", flush=True)
+    print("planned NTT rows on toy-insecure ...", flush=True)
     ntt_counts = bench_ntt_counts(toy_params())
     for kernel, row in ntt_counts.items():
         print(
-            f"  {kernel:22s} lazy {row['ntt_rows_lazy']:>4d} rows ->"
-            f" planned {row['ntt_rows_planned']:>4d}"
-            f" (elided {row['ntt_rows_elided']}, "
-            f"{row['reduction_pct']}%)"
+            f"  {kernel:22s} planned {row['ntt_rows_planned']:>4d} rows"
             f"{'' if row['measured_matches_plan'] else '  DRIFT'}"
         )
 
@@ -448,8 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     for kernel in E2E_KERNELS:
         print(f"end-to-end {kernel} ...", flush=True)
         end_to_end[kernel] = bench_end_to_end(
-            kernel, e2e_params, repeats, args.batch,
-            args.exec_workers, domain_plan,
+            kernel, e2e_params, repeats, args.batch, args.exec_workers
         )
         row = end_to_end[kernel]
         print(
@@ -501,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
                 for name, row in opcodes_toy.items()
             },
             **{
-                f"{kernel}.ntt_rows_elided": row["ntt_rows_elided"]
+                f"{kernel}.ntt_rows_planned": row["ntt_rows_planned"]
                 for kernel, row in ntt_counts.items()
             },
             **{

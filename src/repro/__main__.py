@@ -173,7 +173,7 @@ def _cmd_run(args) -> int:
     }
     report = session.run(
         args.kernel, logical, backend=args.backend, seed=args.seed,
-        domain_plan=args.domain_plan, exec_workers=args.exec_workers,
+        exec_workers=args.exec_workers,
         guard=_noise_guard(args.noise_guard),
         noise_margin_bits=args.noise_margin_bits,
         escalate=not args.no_escalate,
@@ -202,8 +202,7 @@ def _cmd_run(args) -> int:
         from repro.runtime.estimator import estimate_noise_budget
 
         he_kwargs = Porcupine.he_backend_kwargs(
-            args.seed, domain_plan=args.domain_plan,
-            exec_workers=args.exec_workers,
+            args.seed, exec_workers=args.exec_workers,
             guard=_noise_guard(args.noise_guard),
             noise_margin_bits=args.noise_margin_bits,
             escalate=not args.no_escalate,
@@ -233,7 +232,7 @@ def _run_batch(args, session, compiled) -> int:
     """``run --batch N``: one lockstep batched execution of N inputs."""
     batch = session.run_many(
         args.kernel, args.batch, backend=args.backend, seed=args.seed,
-        domain_plan=args.domain_plan, exec_workers=args.exec_workers,
+        exec_workers=args.exec_workers,
         guard=_noise_guard(args.noise_guard),
         noise_margin_bits=args.noise_margin_bits,
         escalate=not args.no_escalate,
@@ -463,7 +462,6 @@ def _cmd_serve(args) -> int:
         seed=args.seed,
         max_batch=args.max_batch,
         linger_ms=args.linger_ms,
-        domain_plan=args.domain_plan,
         exec_workers=args.exec_workers,
         compile_workers=args.compile_workers,
         cache_dir=args.cache_dir,
@@ -582,10 +580,6 @@ def main(argv: list[str] | None = None) -> int:
                              help="execute N random inputs as one lockstep "
                                   "encrypted batch (amortizes keys, "
                                   "encoding, and program setup)")
-            cmd.add_argument("--domain-plan", action="store_true",
-                             help="enable the tape-level NTT-domain "
-                                  "planner (bit-identical outputs; fewer "
-                                  "NTT transforms)")
             cmd.add_argument("--exec-workers", type=int, default=1,
                              metavar="W",
                              help="shard the lockstep batch axis across W "
@@ -593,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
                                   "(bit-identical to W=1; HE backend only)")
             cmd.add_argument("--timings", action="store_true",
                              help="print the executor's NTT/arena counter "
-                                  "table (NTT rows performed and elided, "
+                                  "table (NTT rows performed and planned, "
                                   "arena high-water bytes, guard checks/"
                                   "trips, min output budget) to stderr")
             cmd.add_argument("--noise-guard", metavar="MODE", default=None,
@@ -636,9 +630,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="execution-backend key seed")
     serve.add_argument("--max-batch", type=int, default=8, metavar="N",
                        help="max coalesced requests per lockstep batch")
-    serve.add_argument("--domain-plan", action="store_true",
-                       help="enable the HE executor's tape-level NTT-domain "
-                            "planner (bit-identical responses)")
     serve.add_argument("--exec-workers", type=int, default=1, metavar="W",
                        help="shard each coalesced lockstep batch across W "
                             "executor threads (bit-identical to W=1)")

@@ -130,9 +130,7 @@ class InterpreterBackend:
 class HEBackend:
     """Execute under real BFV encryption; executors are reused per spec.
 
-    ``slow_reference=True`` runs on the retained big-integer BFV paths
-    (the oracle/baseline implementation).  ``params`` overrides the
-    spec's parameter preset by name (``"toy"``/``"small"``/``"large"``) —
+    ``params`` overrides the spec's parameter preset by name (``"toy"``/``"small"``/``"large"``) —
     the serving benchmark's quick mode runs on toy parameters this way.
 
     Noise safety: ``guard`` turns on runtime noise-budget guards (see
@@ -149,9 +147,7 @@ class HEBackend:
     def __init__(
         self,
         seed: int | None = None,
-        slow_reference: bool = False,
         params: str | None = None,
-        domain_plan: bool = False,
         exec_workers: int = 1,
         guard=None,
         noise_margin_bits: float | None = None,
@@ -159,9 +155,7 @@ class HEBackend:
         max_escalations: int | None = None,
     ):
         self.seed = seed
-        self.slow_reference = slow_reference
         self.params_preset = params
-        self.domain_plan = domain_plan
         self.exec_workers = exec_workers
         self.guard = guard
         self.noise_margin_bits = noise_margin_bits
@@ -181,8 +175,6 @@ class HEBackend:
             spec,
             params=params,
             seed=self.seed,
-            slow_reference=self.slow_reference,
-            domain_plan=self.domain_plan,
             exec_workers=self.exec_workers,
             guard=self.guard,
             noise_margin_bits=self.noise_margin_bits,

@@ -491,7 +491,6 @@ class Porcupine:
         *,
         backend: str | ExecutionBackend | None = None,
         seed: int = 0,
-        domain_plan: bool = False,
         exec_workers: int = 1,
         guard=None,
         noise_margin_bits: float | None = None,
@@ -502,9 +501,8 @@ class Porcupine:
 
         Without explicit ``inputs``, random in-range inputs are drawn
         from ``seed`` (bounded by the spec's backend bound so nothing
-        overflows the plaintext modulus).  ``domain_plan`` and
-        ``exec_workers`` select the HE executor's NTT-domain planner and
-        lockstep thread count (both bit-identical to the defaults).
+        overflows the plaintext modulus).  ``exec_workers`` selects the HE
+        executor's lockstep thread count (bit-identical to one worker).
 
         ``guard``/``noise_margin_bits`` enable the HE backend's runtime
         noise guards and predictive admission; with ``escalate`` (the
@@ -517,7 +515,7 @@ class Porcupine:
             inputs = self._random_inputs(spec, seed)
         return self.execute(
             compiled, inputs, backend=backend, seed=seed, spec=spec,
-            domain_plan=domain_plan, exec_workers=exec_workers,
+            exec_workers=exec_workers,
             guard=guard, noise_margin_bits=noise_margin_bits,
             escalate=escalate,
         )
@@ -530,7 +528,6 @@ class Porcupine:
         backend: str | ExecutionBackend | None = None,
         seed: int = 0,
         spec: Spec | None = None,
-        domain_plan: bool = False,
         exec_workers: int = 1,
         guard=None,
         noise_margin_bits: float | None = None,
@@ -547,7 +544,7 @@ class Porcupine:
         if spec is None:
             spec = self.spec(compiled.name)
         engine = self._resolve_backend(
-            backend, seed, domain_plan=domain_plan, exec_workers=exec_workers,
+            backend, seed, exec_workers=exec_workers,
             guard=guard, noise_margin_bits=noise_margin_bits,
             escalate=escalate,
         )
@@ -561,7 +558,6 @@ class Porcupine:
         backend: str | ExecutionBackend | None = None,
         seed: int = 0,
         spec: Spec | None = None,
-        domain_plan: bool = False,
         exec_workers: int = 1,
         guard=None,
         noise_margin_bits: float | None = None,
@@ -577,7 +573,7 @@ class Porcupine:
         if spec is None:
             spec = self.spec(compiled.name)
         engine = self._resolve_backend(
-            backend, seed, domain_plan=domain_plan, exec_workers=exec_workers,
+            backend, seed, exec_workers=exec_workers,
             guard=guard, noise_margin_bits=noise_margin_bits,
             escalate=escalate,
         )
@@ -603,7 +599,6 @@ class Porcupine:
         backend: str | ExecutionBackend | None,
         seed: int,
         *,
-        domain_plan: bool = False,
         exec_workers: int = 1,
         guard=None,
         noise_margin_bits: float | None = None,
@@ -614,7 +609,7 @@ class Porcupine:
             name = backend or self.default_backend
             kwargs = (
                 self.he_backend_kwargs(
-                    seed, domain_plan=domain_plan, exec_workers=exec_workers,
+                    seed, exec_workers=exec_workers,
                     guard=guard, noise_margin_bits=noise_margin_bits,
                     escalate=escalate,
                 )
@@ -628,7 +623,6 @@ class Porcupine:
     def he_backend_kwargs(
         seed: int,
         *,
-        domain_plan: bool = False,
         exec_workers: int = 1,
         guard=None,
         noise_margin_bits: float | None = None,
@@ -641,8 +635,6 @@ class Porcupine:
         same backend instance (the cache keys on the kwargs tuple).
         """
         kwargs: dict = {"seed": seed}
-        if domain_plan:
-            kwargs["domain_plan"] = True
         if exec_workers != 1:
             kwargs["exec_workers"] = exec_workers
         if guard is not None:
@@ -658,7 +650,7 @@ class Porcupine:
     def executor_stats(self):
         """Merged HE :class:`~repro.runtime.profiler.ExecutorStats`
         across every backend this session has built (NTT rows performed
-        and elided, arena high-water bytes, lockstep worker count)."""
+        and planned, arena high-water bytes, lockstep worker count)."""
         from repro.runtime.profiler import ExecutorStats
 
         merged = ExecutorStats()
@@ -684,7 +676,6 @@ class Porcupine:
         *,
         backend: str | ExecutionBackend | None = None,
         seed: int = 0,
-        domain_plan: bool = False,
         exec_workers: int = 1,
         guard=None,
         noise_margin_bits: float | None = None,
@@ -723,7 +714,7 @@ class Porcupine:
                 )
         return self.execute_batch(
             compiled, inputs, backend=backend, seed=seed, spec=spec,
-            domain_plan=domain_plan, exec_workers=exec_workers,
+            exec_workers=exec_workers,
             guard=guard, noise_margin_bits=noise_margin_bits,
             escalate=escalate,
         )

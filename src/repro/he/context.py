@@ -17,9 +17,10 @@ tensors them with batched NTTs, and performs the ``round(t/q * .)``
 rescale entirely on int64 residue matrices; key switching decomposes
 digits vectorized and runs one batched NTT over the whole
 ``(digits, k, N)`` stack.  Both are bit-for-bit identical to the textbook
-big-integer formulation, which is retained behind
-``BFVContext(..., slow_reference=True)`` as the equivalence oracle (and as
-the baseline the runtime benchmarks measure speedups against).
+big-integer formulation, which lives in ``tests/reference_bfv.py`` as a
+:class:`BFVContext` subclass overriding the tensor, key-switch, compose,
+decrypt-rounding and noise-magnitude seams: the equivalence oracle, and
+the baseline the runtime benchmarks measure speedups against.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from repro.he.encoder import BatchEncoder
 from repro.he.errors import HEError, NoiseBudgetExhausted
 from repro.he.keys import GaloisKeys, KSwitchKey, PublicKey, SecretKey
 from repro.he.params import BFVParams
-from repro.he.poly import RingContext, RingElement, exact_negacyclic_product
+from repro.he.poly import RingContext, RingElement
 from repro.he.primes import find_ntt_primes
-from repro.he.rns import DigitDecomposer, centered
+from repro.he.rns import _LIMB_BITS, _LIMB_MASK, DigitDecomposer
 
 
 class Plaintext:
@@ -89,22 +90,10 @@ class Ciphertext:
 
 
 class BFVContext:
-    """One key pair plus every homomorphic operation over it.
+    """One key pair plus every homomorphic operation over it."""
 
-    ``slow_reference=True`` routes ciphertext multiplication and key
-    switching through the retained big-integer textbook path; the default
-    RNS-native path produces bit-identical ciphertexts (the equivalence
-    tests pin this on every seed kernel).
-    """
-
-    def __init__(
-        self,
-        params: BFVParams,
-        seed: int | None = None,
-        slow_reference: bool = False,
-    ):
+    def __init__(self, params: BFVParams, seed: int | None = None):
         self.params = params
-        self.slow_reference = slow_reference
         self.ring = RingContext(params.poly_degree, list(params.coeff_primes))
         self.encoder = BatchEncoder(params)
         self._rng = np.random.default_rng(seed)
@@ -280,11 +269,10 @@ class BFVContext:
         e1 = self._sample_error(lead)
         e2 = self._sample_error(lead)
         m_scaled = plaintext.lift(self.ring, self.t).scalar_mul(self.delta)
-        if not self.slow_reference:
-            # one batched transform primes every NTT cache the masking
-            # sums need (the public-key products pull the adds into the
-            # evaluation domain)
-            self.ring.prime_evals([u, e1, e2, m_scaled])
+        # one batched transform primes every NTT cache the masking sums
+        # need (the public-key products pull the adds into the evaluation
+        # domain)
+        self.ring.prime_evals([u, e1, e2, m_scaled])
         c0 = self.public_key.p0 * u + e1 + m_scaled
         c1 = self.public_key.p1 * u + e2
         return Ciphertext([c0, c1])
@@ -300,11 +288,8 @@ class BFVContext:
         return np.moveaxis(residues, -2, 0).reshape(residues.shape[-2], -1)
 
     def _compose(self, residues: np.ndarray) -> list[int]:
-        """Exact coefficient reconstruction, seed path under the oracle."""
-        cols = self._cols(residues)
-        if self.slow_reference:
-            return self.ring.basis.compose_schoolbook(cols)
-        return self.ring.basis.compose(cols)
+        """Exact coefficient reconstruction of a residue stack."""
+        return self.ring.basis.compose(self._cols(residues))
 
     def _noise_element(self, ct: Ciphertext) -> RingElement:
         """``c0 + c1*s (+ c2*s^2)`` as a ring element."""
@@ -340,13 +325,13 @@ class BFVContext:
         the rounding step (the executor's epilogue needs both, and
         recomputing the noise element doubles the decryption cost).
         """
-        q, t = self.q, self.t
         lead = ct.batch_shape + (self.params.poly_degree,)
         acc = self._noise_element(ct)
         budgets = None
         if want_budgets or check_budget:
             budgets = [
-                self._budget_bits(q, u) for u in self._noise_magnitudes(ct, acc)
+                self._budget_bits(self.q, u)
+                for u in self._noise_magnitudes(ct, acc)
             ]
             if check_budget and min(budgets) <= 0:
                 worst = min(range(len(budgets)), key=budgets.__getitem__)
@@ -360,13 +345,7 @@ class BFVContext:
                 )
             if not want_budgets:
                 budgets = None
-        if self.slow_reference:
-            w = self.ring.basis.compose_schoolbook(self._cols(acc.residues))
-            coeffs = np.array(
-                [(t * c + q // 2) // q % t for c in w], dtype=np.int64
-            )
-        else:
-            coeffs = self._decrypt_round(self._cols(acc.residues))
+        coeffs = self._decrypt_round(self._cols(acc.residues))
         return Plaintext(coeffs.reshape(lead)), budgets
 
     def _decrypt_round(self, residues: np.ndarray) -> np.ndarray:
@@ -410,23 +389,9 @@ class BFVContext:
         exact 16-bit limb reconstruction and a vectorized lexicographic
         scan, with no per-coefficient Python arithmetic.
         """
-        q, t = self.q, self.t
         n = self.params.poly_degree
         if acc is None:
             acc = self._noise_element(ct)
-        if self.slow_reference:
-            w = self.ring.basis.compose_schoolbook(self._cols(acc.residues))
-            out = []
-            for start in range(0, len(w), n):
-                max_u = 0
-                for c in w[start : start + n]:
-                    u = abs(centered(t * c % q, q))
-                    if u > max_u:
-                        max_u = u
-                out.append(max_u)
-            return out
-        from repro.he.rns import _LIMB_BITS, _LIMB_MASK
-
         basis = self.ring.basis
         # x = t*c mod q, via residues (p_i | q keeps this exact)
         scaled = acc.residues * self._t_mod_q % self.ring._primes_col
@@ -560,16 +525,12 @@ class BFVContext:
         """BFV multiply: exact integer tensor, rescale by t/q, relinearize."""
         if ct1.size != 2 or ct2.size != 2:
             raise HEError("multiply expects relinearized (2-part) operands")
-        if self.slow_reference:
-            parts = self._tensor_reference(ct1, ct2)
-        else:
-            parts = self._tensor_rns(ct1, ct2)
-        product = Ciphertext(parts)
+        product = Ciphertext(self._tensor(ct1, ct2))
         if relinearize:
             product = self.relinearize(product, out_domain=out_domain)
         return product
 
-    def _tensor_rns(self, ct1: Ciphertext, ct2: Ciphertext) -> list[RingElement]:
+    def _tensor(self, ct1: Ciphertext, ct2: Ciphertext) -> list[RingElement]:
         """Vectorized tensor-and-rescale in the extended RNS basis.
 
         The four operand parts are base-converted (exactly, centered) into
@@ -663,42 +624,6 @@ class BFVContext:
         quot = (a - r_ext) % p_col * self._q_inv_ext % p_col
         return self._conv_ext_to_q(quot, centered=True)
 
-    def _tensor_reference(
-        self, ct1: Ciphertext, ct2: Ciphertext
-    ) -> list[RingElement]:
-        """Textbook big-integer tensor-and-rescale (the equivalence oracle).
-
-        This is the seed implementation kept byte-for-byte in behavior —
-        per-coefficient Garner composition, Python-int Karatsuba sums, and
-        big-int rescale — so the equivalence tests pin the RNS path to it
-        and the runtime benchmarks measure speedups against it honestly.
-        """
-        basis = self.ring.basis
-        a0 = basis.compose_centered_schoolbook(ct1.parts[0].residues)
-        a1 = basis.compose_centered_schoolbook(ct1.parts[1].residues)
-        b0 = basis.compose_centered_schoolbook(ct2.parts[0].residues)
-        b1 = basis.compose_centered_schoolbook(ct2.parts[1].residues)
-        # Karatsuba: three exact products instead of four.
-        p00 = exact_negacyclic_product(a0, b0, self._ext_ring, schoolbook=True)
-        p11 = exact_negacyclic_product(a1, b1, self._ext_ring, schoolbook=True)
-        asum = [x + y for x, y in zip(a0, a1)]
-        bsum = [x + y for x, y in zip(b0, b1)]
-        pss = exact_negacyclic_product(
-            asum, bsum, self._ext_ring, schoolbook=True
-        )
-        p01 = [s - x - y for s, x, y in zip(pss, p00, p11)]
-        return [
-            self._rescale_to_ring(p00),
-            self._rescale_to_ring(p01),
-            self._rescale_to_ring(p11),
-        ]
-
-    def _rescale_to_ring(self, coeffs: list[int]) -> RingElement:
-        """``round(t * v / q) mod q`` applied coefficient-wise (big-int)."""
-        q, t = self.q, self.t
-        scaled = [(t * v + q // 2) // q for v in coeffs]
-        return self.ring.from_int_coeffs(scaled)
-
     def relinearize(
         self, ct: Ciphertext, out_domain: str | None = None
     ) -> Ciphertext:
@@ -706,8 +631,6 @@ class BFVContext:
         if ct.size == 2:
             return ct.copy()
         d0, d1 = self._key_switch(ct.parts[2], self.relin_key)
-        if self.slow_reference:
-            return Ciphertext([ct.parts[0] + d0, ct.parts[1] + d1])
         if out_domain == "coeff":
             # the tensor parts already hold coefficients, so when every
             # consumer demands that domain it is cheaper to pull the two
@@ -724,9 +647,7 @@ class BFVContext:
         self.ring.prime_evals([ct.parts[0], ct.parts[1]])
         return Ciphertext([ct.parts[0] + d0, ct.parts[1] + d1])
 
-    def rotate_rows(
-        self, ct: Ciphertext, steps: int, planned: bool = False
-    ) -> Ciphertext:
+    def rotate_rows(self, ct: Ciphertext, steps: int) -> Ciphertext:
         """Rotate both batching rows left by ``steps`` (negative = right)."""
         if ct.size != 2:
             raise HEError("rotate expects a relinearized (2-part) ciphertext")
@@ -734,50 +655,30 @@ class BFVContext:
         if steps == 0:
             return ct.copy()
         g = self.encoder.galois_element_for_rotation(steps)
-        return self._apply_galois(ct, g, planned=planned)
+        return self._apply_galois(ct, g)
 
-    def rotate_columns(self, ct: Ciphertext, planned: bool = False) -> Ciphertext:
+    def rotate_columns(self, ct: Ciphertext) -> Ciphertext:
         """Swap the two batching rows."""
         if ct.size != 2:
             raise HEError("rotate expects a relinearized (2-part) ciphertext")
-        return self._apply_galois(
-            ct, self.encoder.galois_element_row_swap, planned=planned
-        )
+        return self._apply_galois(ct, self.encoder.galois_element_row_swap)
 
-    def _apply_galois(
-        self, ct: Ciphertext, galois_elt: int, planned: bool = False
-    ) -> Ciphertext:
+    def _apply_galois(self, ct: Ciphertext, galois_elt: int) -> Ciphertext:
+        """Automorphism plus key switch back to the canonical secret.
+
+        c0 permutes cached evaluation rows, while c1 routes through the
+        coefficient domain: digit decomposition needs coefficients
+        regardless, and the inverse transform caches on the *input* wire,
+        so R rotations of one ciphertext pay it once instead of R times.
+        """
         self.generate_galois_key(galois_elt)
         key = self.galois_keys.get(galois_elt)
-        if planned and not self.slow_reference:
-            # Planned routing: c0 permutes cached evaluation rows (the
-            # hoisted form below), while c1 routes through the coefficient
-            # domain — digit decomposition needs coefficients regardless,
-            # and the inverse transform caches on the *input* wire, so R
-            # rotations of one ciphertext pay it once instead of R times.
-            c0g = ct.parts[0].automorphism(galois_elt, domains="eval")
-            c1g = ct.parts[1].automorphism(galois_elt, domains="coeff")
-            d0, d1 = self._key_switch(c1g, key)
-            return Ciphertext([c0g + d0, d1])
-        if not self.slow_reference:
-            # Hoist: materialise c0's NTT form on the *input* ciphertext so
-            # repeated rotations of the same ciphertext permute the cached
-            # evaluation rows instead of re-transforming (c0g + d0 happens
-            # in the evaluation domain either way).
-            ct.parts[0].eval_rows()
-        c0g = ct.parts[0].automorphism(galois_elt)
-        c1g = ct.parts[1].automorphism(galois_elt)
+        c0g = ct.parts[0].automorphism(galois_elt, domains="eval")
+        c1g = ct.parts[1].automorphism(galois_elt, domains="coeff")
         d0, d1 = self._key_switch(c1g, key)
         return Ciphertext([c0g + d0, d1])
 
     def _key_switch(
-        self, poly: RingElement, key: KSwitchKey
-    ) -> tuple[RingElement, RingElement]:
-        if self.slow_reference:
-            return self._key_switch_reference(poly, key)
-        return self._key_switch_rns(poly, key)
-
-    def _key_switch_rns(
         self, poly: RingElement, key: KSwitchKey
     ) -> tuple[RingElement, RingElement]:
         """Inner product of base-T digits with an NTT-domain switch key.
@@ -829,36 +730,6 @@ class BFVContext:
             RingElement(ring, eval_rows=acc0),
             RingElement(ring, eval_rows=acc1),
         )
-
-    def _key_switch_reference(
-        self, poly: RingElement, key: KSwitchKey
-    ) -> tuple[RingElement, RingElement]:
-        """Big-int digit decomposition with per-digit transforms (oracle)."""
-        ring = self.ring
-        bits = self.params.decomp_bits
-        mask = (1 << bits) - 1
-        coeffs = ring.basis.compose_schoolbook(poly.residues)
-        primes_col = ring._primes_col
-        acc0 = np.zeros_like(poly.residues)
-        acc1 = np.zeros_like(poly.residues)
-        for j in range(len(key)):
-            shift = bits * j
-            digit = np.array(
-                [(c >> shift) & mask for c in coeffs], dtype=np.int64
-            )
-            digit_res = digit[None, :] % primes_col
-            digit_eval = np.stack(
-                [ntt.forward(digit_res[i]) for i, ntt in enumerate(ring.ntts)]
-            )
-            acc0 = (acc0 + digit_eval * key._ntt_cache_0[j]) % primes_col
-            acc1 = (acc1 + digit_eval * key._ntt_cache_1[j]) % primes_col
-        out0 = np.stack(
-            [ntt.inverse(acc0[i]) for i, ntt in enumerate(ring.ntts)]
-        )
-        out1 = np.stack(
-            [ntt.inverse(acc1[i]) for i, ntt in enumerate(ring.ntts)]
-        )
-        return RingElement(ring, out0), RingElement(ring, out1)
 
     @staticmethod
     def _check_sizes(ct1: Ciphertext, ct2: Ciphertext) -> None:

@@ -204,6 +204,7 @@ class CompiledProgram:
         galois_elements: every Galois key the tape's rotations need
             (generated at compile time, so runs never pay key generation).
         constants: program constants, encoded and frozen.
+        plan: the tape's NTT-domain residency plan; every run executes it.
     """
 
     program: Program
@@ -212,10 +213,8 @@ class CompiledProgram:
     output: tuple
     galois_elements: tuple[int, ...]
     constants: dict[str, object]
+    plan: DomainPlan
     extra_outputs: tuple[tuple, ...] = ()  # fetch descriptors, extras only
-    # NTT-domain residency plan for the tape (None on the slow-reference
-    # oracle); executed only when the executor's domain_plan flag is set
-    plan: DomainPlan | None = None
     # worst-case predicted output budget under this executor's params
     # (Fan-Vercauteren bounds, bits); the admission margin gates on it
     predicted_noise_budget: float | None = None
@@ -268,12 +267,7 @@ class BatchExecutionReport:
 
 
 class HEExecutor:
-    """Runs Quill programs under real BFV encryption.
-
-    ``slow_reference=True`` builds the executor on the retained big-int
-    BFV paths (the seed implementation) — the baseline the runtime
-    benchmarks and equivalence tests compare against.
-    """
+    """Runs Quill programs under real BFV encryption."""
 
     PLAINTEXT_CACHE_LIMIT = 256
 
@@ -282,8 +276,6 @@ class HEExecutor:
         spec: Spec,
         params: BFVParams | None = None,
         seed: int | None = None,
-        slow_reference: bool = False,
-        domain_plan: bool = False,
         exec_workers: int = 1,
         guard: NoiseGuardPolicy | str | int | None = None,
         noise_margin_bits: float | None = None,
@@ -291,7 +283,6 @@ class HEExecutor:
         if exec_workers < 1:
             raise ValueError("exec_workers must be >= 1")
         self.spec = spec
-        self.domain_plan = domain_plan
         self.exec_workers = exec_workers
         self.guard = NoiseGuardPolicy.coerce(guard)
         # predictive admission: compile() rejects programs whose predicted
@@ -311,18 +302,13 @@ class HEExecutor:
                 "choose a larger polynomial degree"
             )
         self.params = params
-        self.ctx = BFVContext(params, seed=seed, slow_reference=slow_reference)
+        self.ctx = BFVContext(params, seed=seed)
         self._plaintext_cache: dict[bytes, object] = {}
         self._compiled: dict[int, CompiledProgram] = {}
         self._pinned: set[int] = set()
         self._arena = ScratchArena()
         self._worker_arenas: dict[int, ScratchArena] = {}
         self.stats = ExecutorStats(exec_workers=exec_workers)
-
-    @property
-    def _planning(self) -> bool:
-        """Domain plans apply only on the fast path (the oracle stays lazy)."""
-        return self.domain_plan and not self.ctx.slow_reference
 
     # ------------------------------------------------------------------
     # Compilation: program -> tape
@@ -332,8 +318,8 @@ class HEExecutor:
         """Lower a program onto this executor (cached per program object).
 
         One-time work hoisted out of every run: the displacement check,
-        Galois key generation, constant encoding, and liveness-based wire
-        slot assignment.
+        Galois key generation, constant encoding, liveness-based wire
+        slot assignment, and the NTT-domain plan.
         """
         cached = self._compiled.get(id(program))
         if cached is not None and cached.program is program:
@@ -419,17 +405,15 @@ class HEExecutor:
         }
         output_desc = fetch(program.output)
         extra_descs = tuple(fetch(ref) for ref in program.extra_outputs)
-        plan = None
-        if not self.ctx.slow_reference:
-            plan = plan_tape(
-                steps,
-                output_desc,
-                extra_descs,
-                eager=not program.is_explicit_relin,
-                k=len(self.params.coeff_primes),
-                k_ext=len(self.ctx._ext_ring.basis),
-                digits=self.ctx._digit_count,
-            )
+        plan = plan_tape(
+            steps,
+            output_desc,
+            extra_descs,
+            eager=not program.is_explicit_relin,
+            k=len(self.params.coeff_primes),
+            k_ext=len(self.ctx._ext_ring.basis),
+            digits=self.ctx._digit_count,
+        )
         compiled = CompiledProgram(
             program=program,
             steps=steps,
@@ -468,10 +452,6 @@ class HEExecutor:
     def unpin(self, program: Program) -> None:
         """Allow a previously pinned program's tape to be evicted again."""
         self._pinned.discard(id(program))
-
-    def prepare(self, program: Program) -> None:
-        """Generate the Galois keys the program needs (outside timing)."""
-        self.compile(program)
 
     # ------------------------------------------------------------------
     # Runtime fault injection (chaos testing only)
@@ -542,13 +522,12 @@ class HEExecutor:
         compiled: CompiledProgram,
         encrypted: dict,
         plain: dict,
-        planned: bool = False,
     ):
-        """Replay the instruction tape; returns (output ct, per-op seconds).
+        """Replay the instruction tape under its compiled domain plan.
 
-        ``planned=True`` executes the compiled domain plan: per-step
-        residency hints plus planned rotation routing.  Transforms are
-        exact bijections, so both modes are bit-identical.
+        Every step passes its residency hint to the context op.
+        Transforms are exact bijections, so hints move work between
+        domains without changing a bit of the result.
 
         Returns ``(output ct, extra cts, per-op seconds, guard checks)``.
         """
@@ -557,7 +536,7 @@ class HEExecutor:
         guard_checks = 0
         slots: list = [None] * compiled.slot_count
         per_opcode: dict[str, float] = {}
-        plan = compiled.plan if planned else None
+        hints = compiled.plan.hints
         # explicit-relin programs defer the fold to their RELIN steps;
         # eager programs keep the historical relinearize-every-multiply
         eager = not compiled.program.is_explicit_relin
@@ -579,12 +558,10 @@ class HEExecutor:
         for index, (opcode, a, b, amount, out_slot, frees) in enumerate(
             compiled.steps
         ):
-            hint = plan.hints[index] if plan is not None else None
+            hint = hints[index]
             t0 = time.perf_counter()
             if opcode is Opcode.ROTATE:
-                value = ctx.rotate_rows(
-                    resolve(a), amount, planned=plan is not None
-                )
+                value = ctx.rotate_rows(resolve(a), amount)
             elif opcode is Opcode.RELIN:
                 value = ctx.relinearize(resolve(a), out_domain=hint)
             elif opcode is Opcode.MUL_CC:
@@ -640,29 +617,22 @@ class HEExecutor:
         self,
         program: Program,
         logical_env: dict[str, np.ndarray],
-        check: bool = True,
     ) -> ExecutionReport:
-        """Encrypt, evaluate homomorphically, decrypt, and compare.
-
-        ``check`` is kept for backwards compatibility; the displacement
-        check always runs, but only once per program at compile time.
-        """
+        """Encrypt, evaluate homomorphically, decrypt, and compare."""
         compiled = self.compile(program)
         layout = self.spec.layout
         encrypted, plain = self._encrypt_env(logical_env)
         plain.update(compiled.constants)
 
-        planned = self._planning
         counters = ExecCounters()
         start = time.perf_counter()
         with execution_scope(self._arena, counters):
             output_ct, extra_cts, per_opcode, guard_checks = (
-                self._execute_tape(compiled, encrypted, plain, planned=planned)
+                self._execute_tape(compiled, encrypted, plain)
             )
         wall = time.perf_counter() - start
         self._record_stats(
-            compiled, counters, batch=1, planned=planned,
-            guard_checks=guard_checks,
+            compiled, counters, batch=1, guard_checks=guard_checks
         )
 
         plaintext, budgets = self.ctx.decrypt_with_budgets(
@@ -699,7 +669,6 @@ class HEExecutor:
         self,
         program: Program,
         logical_envs: list[dict[str, np.ndarray]],
-        check: bool = True,
         workers: int | None = None,
     ) -> BatchExecutionReport:
         """Execute one program over a batch of inputs in lockstep.
@@ -761,14 +730,11 @@ class HEExecutor:
         plain.update(compiled.constants)
         t_setup = time.perf_counter()
 
-        planned = self._planning
         counters = ExecCounters()
         if workers == 1:
             with execution_scope(self._arena, counters):
                 output_ct, extra_cts, per_opcode, guard_checks = (
-                    self._execute_tape(
-                        compiled, encrypted, plain, planned=planned
-                    )
+                    self._execute_tape(compiled, encrypted, plain)
                 )
             t_eval = time.perf_counter()
             plaintext, budgets = self.ctx.decrypt_with_budgets(
@@ -783,15 +749,14 @@ class HEExecutor:
         else:
             decrypted, budgets, extra_decrypted, per_opcode, guard_checks = (
                 self._run_sharded(
-                    compiled, encrypted, plain, batch, workers, counters,
-                    planned,
+                    compiled, encrypted, plain, batch, workers, counters
                 )
             )
             # workers decrypt their own shards, so evaluation and
             # decryption share the pool's wall time
             t_eval = t_done = time.perf_counter()
         self._record_stats(
-            compiled, counters, batch=batch, planned=planned, workers=workers,
+            compiled, counters, batch=batch, workers=workers,
             guard_checks=guard_checks,
         )
         self._note_output_budgets(budgets)
@@ -840,7 +805,6 @@ class HEExecutor:
         batch: int,
         workers: int,
         counters: ExecCounters,
-        planned: bool,
     ):
         """Shard the encrypted batch axis across a lockstep thread pool.
 
@@ -875,9 +839,7 @@ class HEExecutor:
             try:
                 with execution_scope(self._worker_arenas[w], shard_counters):
                     output_ct, extra_cts, per_opcode, guard_checks = (
-                        self._execute_tape(
-                            compiled, shard_cts, plain, planned=planned
-                        )
+                        self._execute_tape(compiled, shard_cts, plain)
                     )
             except NoiseBudgetExhausted as error:
                 # re-raise with the batch index rebased from shard-local
@@ -926,7 +888,6 @@ class HEExecutor:
         compiled: CompiledProgram,
         counters: ExecCounters,
         batch: int,
-        planned: bool,
         workers: int = 1,
         guard_checks: int = 0,
     ) -> None:
@@ -935,9 +896,7 @@ class HEExecutor:
         stats.runs += 1
         stats.guard_checks += guard_checks
         stats.ntts_performed += counters.ntt_rows
-        if planned and compiled.plan is not None:
-            stats.ntts_planned += compiled.plan.ntts_planned * batch
-            stats.ntts_elided += compiled.plan.ntts_elided * batch
+        stats.ntts_planned += compiled.plan.ntts_planned * batch
         arena_bytes = self._arena.bytes_held + sum(
             arena.bytes_held for arena in self._worker_arenas.values()
         )

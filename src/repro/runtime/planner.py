@@ -1,23 +1,19 @@
 """Compile-time NTT-domain planning over the executor's instruction tape.
 
-The lazy ring layer decides coeff<->eval residency per operation, at run
+The ring layer decides coeff<->eval residency per operation, at run
 time: whatever forms an operand happens to carry determine whether a
 transform fires.  That policy is locally reasonable and globally wasteful
 — a relinearized product that feeds another multiply is pushed into the
-evaluation domain only to be pulled straight back, and every rotation of
-an NTT-form ciphertext re-pays the inverse transform its key-switch
-digits need.  EVA and HEIR treat conversion placement as a *compiler*
-decision; this module does the same at the tape level.
+evaluation domain only to be pulled straight back.  EVA and HEIR treat
+conversion placement as a *compiler* decision; this module does the same
+at the tape level, and the executor always runs the resulting plan.
 
-The planner runs two exact simulations of the tape over per-part domain
-state machines (which of ``{coeff, eval}`` each ciphertext part carries,
-mirroring :mod:`repro.he.context` op for op):
-
-* the **lazy** simulation reproduces the unplanned executor and counts
-  the NTT row transforms it performs, and
-* the **planned** simulation resolves one domain hint per step — greedy
-  over (immediate transform cost + k rows per demanded-but-missing form
-  on the result, from a backward demand pass) — and counts again.
+The planner simulates the tape exactly over per-part domain state
+machines (which of ``{coeff, eval}`` each ciphertext part carries,
+mirroring :mod:`repro.he.context` op for op), resolving one domain hint
+per step — greedy over (immediate transform cost + k rows per
+demanded-but-missing form on the result, from a backward demand pass) —
+and counting the NTT row transforms the run will perform.
 
 Counts are in *row* units (one length-``N`` transform; a ``(k, N)``
 element costs ``k`` rows, a key-switch digit stack ``digits * k``, the
@@ -48,29 +44,14 @@ _DOMAIN_OF = {_C: "coeff", _E: "eval"}
 class DomainPlan:
     """Per-step domain hints plus the predicted transform economics.
 
-    ``hints[i]`` is ``None`` (keep the lazy policy), ``"coeff"`` or
-    ``"eval"`` for step ``i``; rotations are always executed in planned
-    routing (cost is never worse than the lazy hoist).  Row counts are
-    per batch element: a ``run_many`` over ``B`` inputs performs
-    ``ntts_planned * B`` rows planned and ``ntts_lazy * B`` unplanned.
+    ``hints[i]`` is ``None`` (the ring layer's per-op policy),
+    ``"coeff"`` or ``"eval"`` for step ``i``; rotations have one fixed
+    routing and carry no hint.  Row counts are per batch element: a
+    ``run_many`` over ``B`` inputs performs ``ntts_planned * B`` rows.
     """
 
     hints: tuple
     ntts_planned: int
-    ntts_lazy: int
-
-    @property
-    def ntts_elided(self) -> int:
-        return self.ntts_lazy - self.ntts_planned
-
-    def summary(self) -> dict:
-        return {
-            "steps": len(self.hints),
-            "hinted_steps": sum(1 for h in self.hints if h is not None),
-            "ntts_planned": self.ntts_planned,
-            "ntts_lazy": self.ntts_lazy,
-            "ntts_elided": self.ntts_elided,
-        }
 
 
 class _Sim:
@@ -80,9 +61,8 @@ class _Sim:
     and ciphertext inputs hold per-part form sets (forcing a missing form
     caches it, like ``RingElement`` lazy materialisation), plaintext
     lifts hold one persistent form set per name (the ``Plaintext._lift``
-    cache), and transient operands (the scaled plaintext in add_plain,
-    the rotated c1 under lazy routing) pay their transform without
-    caching anything.
+    cache), and transient operands (the scaled plaintext in add_plain)
+    pay their transform without caching anything.
     """
 
     def __init__(self, k: int, k_ext: int, digits: int):
@@ -138,7 +118,7 @@ class _Sim:
             out.add(_C)
         if _E in a and _E in b:
             out.add(_E)
-        if not out:  # mixed domains: the lazy policy prefers evaluation
+        if not out:  # mixed domains: the ring layer prefers evaluation
             self.force(a, _E)
             force_b(b, _E)
             out.add(_E)
@@ -164,7 +144,6 @@ class _Sim:
         a_desc: tuple,
         b_desc: tuple | None,
         hint: str | None,
-        planned: bool,
         eager: bool,
     ) -> list[set]:
         if opcode in _CC_OPS:
@@ -201,23 +180,17 @@ class _Sim:
             return self.relinearize(self.ct_value(a_desc), hint)
         assert opcode is Opcode.ROTATE
         a = self.ct_value(a_desc)
-        if planned:
-            # c0 permutes evaluation rows; c1 routes through coefficients
-            # (the decomposition needs them) *cached on the input wire*,
-            # so repeated rotations of one value pay the inverse once
-            self.force(a[0], _E)
-            self.force(a[1], _C)
-        else:
-            self.force(a[0], _E)  # the lazy hoist
-            # lazy c1 is a fresh permuted element: its coefficient form is
-            # recomputed per rotation and never cached on the input
-            self.force_transient(a[1], _C)
+        # c0 permutes evaluation rows; c1 routes through coefficients (the
+        # decomposition needs them) *cached on the input wire*, so
+        # repeated rotations of one value pay the inverse once
+        self.force(a[0], _E)
+        self.force(a[1], _C)
         self.rows += self.digits * self.k
         return [{_E}, {_E}]
 
-    def run_step(self, step, hint, planned, eager) -> None:
+    def run_step(self, step, hint, eager) -> None:
         opcode, a, b, _amount, out_slot, _frees = step
-        result = self.apply(opcode, a, b, hint, planned, eager)
+        result = self.apply(opcode, a, b, hint, eager)
         if out_slot >= 0:
             self.slots[out_slot] = result
 
@@ -317,7 +290,7 @@ def _probe_cost(sim: _Sim, step, hint, eager, dm) -> int:
         key: [set(p) for p in parts] for key, parts in sim.ct_inputs.items()
     }
     probe.pt_lifts = {key: set(v) for key, v in sim.pt_lifts.items()}
-    result = probe.apply(opcode, a_desc, b_desc, hint, True, eager)
+    result = probe.apply(opcode, a_desc, b_desc, hint, eager)
     deferred = sum(
         sim.k * len(doms - forms) for doms, forms in zip(dm, result)
     )
@@ -344,10 +317,6 @@ def plan_tape(
     )
     demand = _demands(steps, producers, part_counts, out_producers, eager)
 
-    lazy = _Sim(k, k_ext, digits)
-    for step in steps:
-        lazy.run_step(step, None, False, eager)
-
     greedy = _Sim(k, k_ext, digits)
     hints: list[str | None] = []
     for i, step in enumerate(steps):
@@ -361,22 +330,13 @@ def plan_tape(
                 key=lambda h: _probe_cost(greedy, step, h, eager, demand[i]),
             )
         hints.append(hint)
-        greedy.run_step(step, hint, True, eager)
+        greedy.run_step(step, hint, eager)
 
-    # Planned routing with no hints is provably never costlier than lazy
-    # (forms only accumulate; rotation caching strictly helps), so a
-    # greedy plan that somehow loses falls back to it.
-    if greedy.rows > lazy.rows:
-        baseline = _Sim(k, k_ext, digits)
-        for step in steps:
-            baseline.run_step(step, None, True, eager)
-        return DomainPlan(
-            hints=tuple(None for _ in steps),
-            ntts_planned=baseline.rows,
-            ntts_lazy=lazy.rows,
-        )
-    return DomainPlan(
-        hints=tuple(hints),
-        ntts_planned=greedy.rows,
-        ntts_lazy=lazy.rows,
-    )
+    # the greedy choice is local, so a plan that loses to leaving every
+    # step unhinted falls back to the unhinted plan
+    baseline = _Sim(k, k_ext, digits)
+    for step in steps:
+        baseline.run_step(step, None, eager)
+    if greedy.rows > baseline.rows:
+        return DomainPlan(tuple(None for _ in steps), baseline.rows)
+    return DomainPlan(tuple(hints), greedy.rows)

@@ -191,6 +191,17 @@ class SchedulerStats:
         }
 
 
+# ExecutorStats fields that merge() adds across executors
+_SUMMED_COUNTERS = (
+    "runs",
+    "ntts_performed",
+    "ntts_planned",
+    "guard_checks",
+    "guard_trips",
+    "noise_escalations",
+)
+
+
 @dataclass
 class ExecutorStats:
     """HE-executor transform/memory counters (the planner's scoreboard).
@@ -200,17 +211,15 @@ class ExecutorStats:
     ``porcupine run --timings`` and the serve ``stats`` op next to
     :class:`SchedulerStats`.  ``ntts_performed`` counts measured NTT row
     transforms (one length-``N`` butterfly pass) inside tape execution;
-    ``ntts_planned``/``ntts_elided`` are the domain plan's predicted
-    rows and its savings versus the lazy policy, scaled by batch size —
-    when planning is on, ``ntts_performed == ntts_planned`` holds
-    exactly (the property tests pin it).  ``arena_bytes`` is the
-    high-water scratch footprint across the executor's arenas.
+    ``ntts_planned`` is the domain plan's predicted rows scaled by batch
+    size, and ``ntts_performed == ntts_planned`` holds exactly (the
+    property tests pin it).  ``arena_bytes`` is the high-water scratch
+    footprint across the executor's arenas.
     """
 
     runs: int = 0  # tape executions (a batched run counts once)
     ntts_performed: int = 0
     ntts_planned: int = 0
-    ntts_elided: int = 0
     arena_bytes: int = 0  # high-water bytes held by scratch arenas
     exec_workers: int = 1  # widest lockstep worker pool used
     guard_checks: int = 0  # mid-tape noise-budget samples taken
@@ -219,26 +228,22 @@ class ExecutorStats:
     min_output_budget: int | None = None  # lowest output budget seen, bits
 
     def merge(self, other: "ExecutorStats") -> "ExecutorStats":
-        """Pointwise fold (per-kernel executor rows into a global row)."""
+        """Pointwise fold (per-kernel executor rows into a global row):
+        counters add, high-water marks take the max, and the output budget
+        takes the min over the rows that saw one."""
         budgets = [
             b
             for b in (self.min_output_budget, other.min_output_budget)
             if b is not None
         ]
-        return ExecutorStats(
-            runs=self.runs + other.runs,
-            ntts_performed=self.ntts_performed + other.ntts_performed,
-            ntts_planned=self.ntts_planned + other.ntts_planned,
-            ntts_elided=self.ntts_elided + other.ntts_elided,
+        merged = ExecutorStats(
             arena_bytes=max(self.arena_bytes, other.arena_bytes),
             exec_workers=max(self.exec_workers, other.exec_workers),
-            guard_checks=self.guard_checks + other.guard_checks,
-            guard_trips=self.guard_trips + other.guard_trips,
-            noise_escalations=(
-                self.noise_escalations + other.noise_escalations
-            ),
             min_output_budget=min(budgets) if budgets else None,
         )
+        for name in _SUMMED_COUNTERS:
+            setattr(merged, name, getattr(self, name) + getattr(other, name))
+        return merged
 
     def summary(self) -> dict:
         """JSON-ready snapshot (bench / stats-op / --timings schema)."""
@@ -246,7 +251,6 @@ class ExecutorStats:
             "runs": self.runs,
             "ntts_performed": self.ntts_performed,
             "ntts_planned": self.ntts_planned,
-            "ntts_elided": self.ntts_elided,
             "arena_bytes": self.arena_bytes,
             "exec_workers": self.exec_workers,
             "guard_checks": self.guard_checks,
@@ -268,7 +272,6 @@ def format_executor_stats(stats: ExecutorStats) -> str:
         f"  tape runs          {stats.runs}\n"
         f"  ntts performed     {stats.ntts_performed}\n"
         f"  ntts planned       {stats.ntts_planned}\n"
-        f"  ntts elided        {stats.ntts_elided}\n"
         f"  arena bytes        {stats.arena_bytes}\n"
         f"  exec workers       {stats.exec_workers}\n"
         f"  guard checks       {stats.guard_checks}\n"

@@ -69,7 +69,6 @@ class ServeConfig:
     seed: int = 0  # execution-backend seed (keys); NOT per-request
     max_batch: int = 8  # coalesced requests per lockstep tape pass
     linger_ms: float = 2.0  # max wait for co-batchable requests
-    domain_plan: bool = False  # HE executor's tape-level NTT-domain planner
     exec_workers: int = 1  # lockstep batch shards per tape pass (HE only)
     compile_workers: int = 0  # 0: inline; N: process pool on shared cache
     cache_dir: str | None = None  # on-disk compile cache (workers share it)
@@ -397,7 +396,6 @@ class PorcupineServer:
                     "default_timeout_ms": self.config.default_timeout_ms,
                     "max_backlog": self.config.max_backlog,
                     "pool_max_restarts": self.config.pool_max_restarts,
-                    "domain_plan": self.config.domain_plan,
                     "exec_workers": self.config.exec_workers,
                     "noise_guard": self.config.noise_guard,
                     "noise_margin_bits": self.config.noise_margin_bits,
@@ -479,7 +477,6 @@ class PorcupineServer:
             config = self.config
             kwargs = Porcupine.he_backend_kwargs(
                 config.seed,
-                domain_plan=config.domain_plan,
                 exec_workers=config.exec_workers,
                 guard=config.noise_guard,
                 noise_margin_bits=config.noise_margin_bits,

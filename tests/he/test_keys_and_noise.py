@@ -47,8 +47,8 @@ def test_galois_key_generated_lazily(ctx):
 def test_kswitch_key_caches_ntt_domain(ctx):
     key = ctx.relin_key
     assert isinstance(key, KSwitchKey)
-    assert len(key._ntt_cache_0) == len(key.pairs)
-    assert key._ntt_cache_0[0].shape == key.pairs[0][0].residues.shape
+    assert len(key._stack_0) == len(key.pairs)
+    assert key._stack_0[0].shape == key.pairs[0][0].residues.shape
 
 
 def test_relinearized_matches_unrelinearized(ctx):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.he.ntt import naive_negacyclic_convolve
-from repro.he.poly import RingContext, exact_negacyclic_product
+from repro.he.poly import RingContext
 from repro.he.primes import find_ntt_primes
+from tests.reference_bfv import exact_negacyclic_product
 
 N = 16
 RING = RingContext(N, find_ntt_primes(2, 27, 2 * N))

@@ -4,7 +4,7 @@ Every vectorized primitive introduced for the RNS runtime — limb-based
 CRT composition, exact base conversion, digit decomposition, the batched
 lazy NTT, the evaluation-domain automorphism, and the full
 multiply/key-switch/rotate pipeline — must agree *bit-for-bit* with the
-retained schoolbook implementation (``slow_reference=True``), including
+big-integer oracle in ``tests/reference_bfv.py``, including
 boundary-hugging values where float shortcuts would round the wrong way.
 """
 
@@ -21,6 +21,11 @@ from repro.he.ntt import BatchNTT, NTTContext
 from repro.he.poly import RingContext
 from repro.he.primes import find_ntt_primes
 from repro.he.rns import DigitDecomposer, RNSBasis
+from tests.reference_bfv import (
+    ReferenceBFVContext,
+    compose_centered_schoolbook,
+    compose_schoolbook,
+)
 
 BASIS = RNSBasis(find_ntt_primes(4, 27, 64))
 WIDE = RNSBasis(find_ntt_primes(11, 26, 64))
@@ -39,10 +44,9 @@ def _boundary_values():
 @given(st.lists(st.integers(0, M - 1), min_size=1, max_size=40))
 def test_compose_matches_schoolbook(values):
     residues = BASIS.decompose(values)
-    assert BASIS.compose(residues) == BASIS.compose_schoolbook(residues)
-    assert (
-        BASIS.compose_centered(residues)
-        == BASIS.compose_centered_schoolbook(residues)
+    assert BASIS.compose(residues) == compose_schoolbook(BASIS, residues)
+    assert BASIS.compose_centered(residues) == compose_centered_schoolbook(
+        BASIS, residues
     )
 
 
@@ -144,12 +148,26 @@ def test_eval_domain_automorphism_matches_coefficient_domain(g):
 
 
 # ---------------------------------------------------------------------------
-# Full pipeline: RNS context == slow_reference context, bit for bit
+# Full pipeline: RNS context == ReferenceBFVContext, bit for bit
 # ---------------------------------------------------------------------------
+
+def _reference_twin(context, seed):
+    """The oracle built from ``context``'s params and seed (same secret,
+    public, and relinearization keys), sharing its Galois key map so keys
+    generated lazily on either side serve both."""
+    reference = ReferenceBFVContext(context.params, seed=seed)
+    reference.galois_keys = context.galois_keys
+    return reference
+
 
 @pytest.fixture(scope="module")
 def ctx():
     return BFVContext(toy_params(), seed=1234)
+
+
+@pytest.fixture(scope="module")
+def ref_ctx(ctx):
+    return _reference_twin(ctx, 1234)
 
 
 def _assert_ct_equal(a, b):
@@ -166,12 +184,10 @@ def test_multiply_paths_bit_identical(seed):
     a = rng.integers(-50, 51, 300)
     b = rng.integers(-50, 51, 300)
     ca, cb = context.encrypt_vector(a), context.encrypt_vector(b)
-    context.slow_reference = True
-    ref = context.multiply(ca, cb)
-    context.slow_reference = False
+    ref = _PROPERTY_REF.multiply(ca, cb)
     rns = context.multiply(ca, cb)
     _assert_ct_equal(rns, ref)
-    assert context.noise_budgets(rns) == context.noise_budgets(ref)
+    assert context.noise_budgets(rns) == _PROPERTY_REF.noise_budgets(ref)
     assert np.array_equal(context.decrypt_vector(rns)[:300], a * b)
 
 
@@ -182,32 +198,28 @@ def test_rotate_paths_bit_identical(seed, steps):
     rng = np.random.default_rng(seed)
     a = rng.integers(-50, 51, 64)
     ca = context.encrypt_vector(a)
-    context.slow_reference = True
-    ref = context.rotate_rows(ca, steps)
-    context.slow_reference = False
+    ref = _PROPERTY_REF.rotate_rows(ca, steps)
     rns = context.rotate_rows(ca, steps)
     _assert_ct_equal(rns, ref)
-    assert context.noise_budgets(rns) == context.noise_budgets(ref)
+    assert context.noise_budgets(rns) == _PROPERTY_REF.noise_budgets(ref)
 
 
-def test_key_switch_paths_bit_identical(ctx):
+def test_key_switch_paths_bit_identical(ctx, ref_ctx):
     rng = np.random.default_rng(9)
     ca = ctx.encrypt_vector(rng.integers(-10, 11, 32))
     prod = ctx.multiply(ca, ca, relinearize=False)
-    d_rns = ctx._key_switch_rns(prod.parts[2], ctx.relin_key)
-    d_ref = ctx._key_switch_reference(prod.parts[2], ctx.relin_key)
+    d_rns = ctx._key_switch(prod.parts[2], ctx.relin_key)
+    d_ref = ref_ctx._key_switch(prod.parts[2], ref_ctx.relin_key)
     assert d_rns[0] == d_ref[0]
     assert d_rns[1] == d_ref[1]
 
 
-def test_relinearize_paths_bit_identical(ctx):
+def test_relinearize_paths_bit_identical(ctx, ref_ctx):
     rng = np.random.default_rng(10)
     ca = ctx.encrypt_vector(rng.integers(-10, 11, 32))
     cb = ctx.encrypt_vector(rng.integers(-10, 11, 32))
-    ctx.slow_reference = True
-    prod_ref = ctx.multiply(ca, cb, relinearize=False)
-    relin_ref = ctx.relinearize(prod_ref)
-    ctx.slow_reference = False
+    prod_ref = ref_ctx.multiply(ca, cb, relinearize=False)
+    relin_ref = ref_ctx.relinearize(prod_ref)
     prod_rns = ctx.multiply(ca, cb, relinearize=False)
     relin_rns = ctx.relinearize(prod_rns)
     _assert_ct_equal(prod_rns, prod_ref)
@@ -259,3 +271,4 @@ def test_noise_budgets_per_batch_element(ctx):
 
 
 _PROPERTY_CTX = BFVContext(toy_params(), seed=77)
+_PROPERTY_REF = _reference_twin(_PROPERTY_CTX, 77)

@@ -4,7 +4,7 @@ Covers the executor-side tentpole pieces: one-time program compilation
 (displacement check, Galois keys, constants, liveness slots),
 ``run_many`` lockstep batching, the bounded/frozen plaintext cache, and
 the requirement that the RNS executor decrypts bit-identically to the
-retained ``slow_reference`` executor on every seed kernel.
+big-integer oracle (``tests/reference_bfv.py``) on every seed kernel.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.quill.builder import ProgramBuilder
 from repro.quill.ir import Opcode
 from repro.runtime.executor import HEExecutor
 from repro.spec import get_spec
+from tests.reference_bfv import reference_executor
 
 # every seed kernel whose baseline fits the toy parameter set's noise
 # budget (l2/roberts need the larger presets; their ops are covered by
@@ -143,20 +144,10 @@ def test_run_many_requires_inputs():
 
 
 # ---------------------------------------------------------------------------
-# RNS executor == slow_reference executor on every seed kernel
+# RNS executor == big-integer oracle executor on every seed kernel
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", SEED_KERNELS)
-def test_seed_kernels_bit_identical_to_reference(name):
-    assert name in BASELINE_BUILDERS
-    spec = get_spec(name)
-    program = baseline_for(name)
-    rng = np.random.default_rng(hash(name) % 2**32)
-    env = _logical(spec, rng)
-    fast = HEExecutor(spec, params=toy_params(), seed=21)
-    slow = HEExecutor(spec, params=toy_params(), seed=21, slow_reference=True)
-    fast_report = fast.run(program, env)
-    slow_report = slow.run(program, env)
+def _assert_matches_oracle(fast_report, slow_report):
     assert fast_report.matches_reference
     assert slow_report.matches_reference
     assert np.array_equal(
@@ -166,6 +157,36 @@ def test_seed_kernels_bit_identical_to_reference(name):
     assert (
         fast_report.output_noise_budget == slow_report.output_noise_budget
     )
+
+
+@pytest.mark.parametrize("name", SEED_KERNELS)
+def test_seed_kernels_bit_identical_to_reference(name):
+    assert name in BASELINE_BUILDERS
+    spec = get_spec(name)
+    program = baseline_for(name)
+    rng = np.random.default_rng(hash(name) % 2**32)
+    env = _logical(spec, rng)
+    fast = HEExecutor(spec, params=toy_params(), seed=21)
+    slow = reference_executor(spec, params=toy_params(), seed=21)
+    _assert_matches_oracle(fast.run(program, env), slow.run(program, env))
+
+    # the same kernel as a sharded lockstep batch of 3 (server-side
+    # plaintext operands are shared across a run_many batch)
+    pt_names = set(spec.layout.pt_names)
+    envs = [
+        {
+            key: env[key] if key in pt_names else values
+            for key, values in _logical(spec, rng).items()
+        }
+        for _ in range(3)
+    ]
+    fast = HEExecutor(spec, params=toy_params(), seed=21, exec_workers=2)
+    slow = reference_executor(spec, params=toy_params(), seed=21)
+    fast_batch = fast.run_many(program, envs)
+    slow_batch = slow.run_many(program, envs)
+    assert fast_batch.batch_size == slow_batch.batch_size == 3
+    for fast_report, slow_report in zip(fast_batch.reports, slow_batch.reports):
+        _assert_matches_oracle(fast_report, slow_report)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Property tests for the executor performance tentpole: the tape-level
-NTT-domain planner, scratch-buffer arenas, and multicore lockstep
-sharding must all be bit-identical to the legacy lazy single-worker
-path — same decrypted outputs, same model vectors, same noise budgets.
+"""Property tests for the executor's execution path: the tape-level
+NTT-domain plan, scratch-buffer arenas, and multicore lockstep sharding
+must all be bit-identical to the big-integer oracle executor
+(``tests/reference_bfv.py``) and to one worker — same decrypted outputs,
+same model vectors, same noise budgets.
 
 The planner's counters are also checked *exactly*: the plan is built by
 simulating the executor's domain-state machine, so the predicted NTT row
@@ -18,6 +19,7 @@ from repro.baselines import BASELINE_BUILDERS, baseline_for
 from repro.he.params import toy_params
 from repro.runtime.executor import HEExecutor
 from repro.spec import get_spec
+from tests.reference_bfv import reference_executor
 
 # every registry kernel with a hand-written baseline; l2/roberts/harris
 # overrun the toy noise budget, but BFV decryption stays deterministic,
@@ -60,7 +62,7 @@ def _assert_reports_identical(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Planner on == planner off, bit for bit
+# Planned execution == big-integer oracle, bit for bit
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
@@ -70,9 +72,11 @@ def test_planner_bit_identical_single_run(name):
     env = _env(spec, seed=hash(name) % 2**32)
     # fresh executors at identical RNG positions: same keys, same
     # encryption randomness, so budgets are comparable too
-    lazy = HEExecutor(spec, params=toy_params(), seed=11)
-    planned = HEExecutor(spec, params=toy_params(), seed=11, domain_plan=True)
-    _assert_reports_identical(lazy.run(program, env), planned.run(program, env))
+    oracle = reference_executor(spec, params=toy_params(), seed=11)
+    planned = HEExecutor(spec, params=toy_params(), seed=11)
+    _assert_reports_identical(
+        oracle.run(program, env), planned.run(program, env)
+    )
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
@@ -80,11 +84,9 @@ def test_workers_and_planner_bit_identical_batch(name):
     spec = get_spec(name)
     program = baseline_for(name)
     envs = _batch_envs(spec, seed=hash(name) % 2**32, batch=3)
-    legacy = HEExecutor(spec, params=toy_params(), seed=12)
-    tuned = HEExecutor(
-        spec, params=toy_params(), seed=12, domain_plan=True, exec_workers=3
-    )
-    base = legacy.run_many(program, envs)
+    oracle = reference_executor(spec, params=toy_params(), seed=12)
+    tuned = HEExecutor(spec, params=toy_params(), seed=12, exec_workers=3)
+    base = oracle.run_many(program, envs)
     fast = tuned.run_many(program, envs)
     assert fast.batch_size == base.batch_size == 3
     for a, b in zip(base.reports, fast.reports):
@@ -108,15 +110,9 @@ def test_random_inputs_bit_identical_across_configs(
     spec = get_spec(name)
     program = baseline_for(name)
     envs = _batch_envs(spec, seed=seed, batch=batch)
-    legacy = HEExecutor(spec, params=toy_params(), seed=7)
-    tuned = HEExecutor(
-        spec,
-        params=toy_params(),
-        seed=7,
-        domain_plan=True,
-        exec_workers=workers,
-    )
-    base = legacy.run_many(program, envs)
+    single = HEExecutor(spec, params=toy_params(), seed=7)
+    tuned = HEExecutor(spec, params=toy_params(), seed=7, exec_workers=workers)
+    base = single.run_many(program, envs)
     fast = tuned.run_many(program, envs)
     for a, b in zip(base.reports, fast.reports):
         _assert_reports_identical(a, b)
@@ -132,33 +128,24 @@ def test_ntt_counts_match_plan_exactly(name):
     program = baseline_for(name)
     env = _env(spec, seed=5)
 
-    planned = HEExecutor(spec, params=toy_params(), seed=13, domain_plan=True)
+    planned = HEExecutor(spec, params=toy_params(), seed=13)
     plan = planned.compile(program).plan
     assert plan is not None
-    assert plan.ntts_planned <= plan.ntts_lazy  # planning never regresses
-    assert plan.ntts_elided == plan.ntts_lazy - plan.ntts_planned
 
     planned.run(program, env)
     assert planned.stats.ntts_performed == plan.ntts_planned
-    assert planned.stats.ntts_elided == plan.ntts_elided
-
-    lazy = HEExecutor(spec, params=toy_params(), seed=13)
-    lazy.run(program, env)
-    assert lazy.stats.ntts_performed == plan.ntts_lazy
-    assert lazy.stats.ntts_elided == 0  # nothing planned, nothing claimed
+    assert planned.stats.ntts_planned == plan.ntts_planned
 
 
 def test_ntt_counts_scale_linearly_with_batch():
     spec = get_spec("box_blur")
     program = baseline_for("box_blur")
-    executor = HEExecutor(
-        spec, params=toy_params(), seed=14, domain_plan=True
-    )
+    executor = HEExecutor(spec, params=toy_params(), seed=14)
     plan = executor.compile(program).plan
     envs = _batch_envs(spec, seed=3, batch=4)
     executor.run_many(program, envs)
     assert executor.stats.ntts_performed == 4 * plan.ntts_planned
-    assert executor.stats.ntts_elided == 4 * plan.ntts_elided
+    assert executor.stats.ntts_planned == 4 * plan.ntts_planned
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +158,7 @@ def test_arena_reuse_does_not_alias_results():
     the out= NTT path could introduce)."""
     spec = get_spec("gx")
     program = baseline_for("gx")
-    executor = HEExecutor(spec, params=toy_params(), seed=9, domain_plan=True)
+    executor = HEExecutor(spec, params=toy_params(), seed=9)
     env1, env2 = _env(spec, 1), _env(spec, 2)
     first = executor.run(program, env1)
     out1 = first.model_output.copy()
@@ -189,9 +176,7 @@ def test_arena_reuse_does_not_alias_results():
 def test_worker_arenas_are_private_and_counted():
     spec = get_spec("box_blur")
     program = baseline_for("box_blur")
-    executor = HEExecutor(
-        spec, params=toy_params(), seed=10, domain_plan=True, exec_workers=2
-    )
+    executor = HEExecutor(spec, params=toy_params(), seed=10, exec_workers=2)
     envs = _batch_envs(spec, seed=4, batch=4)
     batch = executor.run_many(program, envs)
     assert batch.all_match
@@ -206,16 +191,13 @@ def test_worker_arenas_are_private_and_counted():
 
 def test_executor_stats_summary_shape():
     spec = get_spec("dot_product")
-    executor = HEExecutor(
-        spec, params=toy_params(), seed=15, domain_plan=True
-    )
+    executor = HEExecutor(spec, params=toy_params(), seed=15)
     executor.run(baseline_for("dot_product"), _env(spec, 6))
     summary = executor.stats.summary()
     for key in (
         "runs",
         "ntts_performed",
         "ntts_planned",
-        "ntts_elided",
         "arena_bytes",
         "exec_workers",
     ):
@@ -229,8 +211,7 @@ def test_session_flags_are_bit_identical_and_surfaced():
     tuned = Porcupine(seed=0)
     a = base.run_many("box_blur", 3, backend="he", seed=0)
     b = tuned.run_many(
-        "box_blur", 3, backend="he", seed=0,
-        domain_plan=True, exec_workers=2,
+        "box_blur", 3, backend="he", seed=0, exec_workers=2
     )
     for x, y in zip(a.results, b.results):
         assert np.array_equal(x.logical_output, y.logical_output)
